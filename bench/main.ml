@@ -738,48 +738,32 @@ let run_state () =
 (* Fault tolerance: recovery under link failure + broker crash, swept
    over COPS loss rates (extension; EXPERIMENTS.md "recovery" section). *)
 
+module Scenario = Bbr_scenario.Scenario
+module Runner = Bbr_scenario.Runner
+module Matrix = Bbr_scenario.Matrix
+
 let run_failover () =
   section "Fault tolerance: link failure + broker crash vs COPS loss rate";
-  let scenario ~loss ~checkpoint_on_decision =
-    {
-      Bbr_workload.Failure.default_config with
-      loss;
-      extra_links = [ ("R3", "R6", Fig8.capacity); ("R6", "R4", Fig8.capacity) ];
-      link_down = [ (600., ("R3", "R4")) ];
-      link_up = [ (900., ("R3", "R4")) ];
-      crash_at = Some 1500.;
-      promote_after = 0.5;
-      checkpoint_every = (if checkpoint_on_decision then None else Some 50.);
-      checkpoint_on_decision;
-    }
-  in
   Fmt.pr
     "Figure-8 churn (0.15 flows/s, 200 s holding), R3->R4 fails at 600 s with@.";
   Fmt.pr
-    "an R3->R6->R4 detour, broker crashes at 1500 s, standby promoted 0.5 s later.@.@.";
-  let row label o =
-    let open Bbr_workload.Failure in
-    Fmt.pr "%-26s %5d %5d %5d %6d %6d %5d %7d %7d %6d@." label o.admitted o.rerouted
-      o.dropped o.flows_at_crash o.flows_restored o.flows_lost o.messages
-      o.retransmissions o.unresolved
-  in
-  Fmt.pr "%-26s %5s %5s %5s %6s %6s %5s %7s %7s %6s@." "configuration" "admit" "rert"
-    "drop" "@crash" "restor" "lost" "msgs" "rexmit" "stuck";
+    "an R3->R6->R4 detour, broker crashes at 1500 s, standby promoted 0.5 s later;@.";
+  Fmt.pr "every mutation journaled and fsynced before the decision leaves.@.@.";
+  Fmt.pr "%-10s %5s %5s %5s %6s %5s %7s %7s %6s %7s@." "COPS loss" "admit" "rert"
+    "drop" "@crash" "lost" "msgs" "rexmit" "stuck" "digest";
   List.iter
     (fun loss ->
-      let o = Bbr_workload.Failure.run (scenario ~loss ~checkpoint_on_decision:true) in
-      row (Fmt.str "per-decision ckpt, p=%.2f" loss) o)
-    [ 0.; 0.01; 0.1 ];
-  List.iter
-    (fun loss ->
-      let o = Bbr_workload.Failure.run (scenario ~loss ~checkpoint_on_decision:false) in
-      row (Fmt.str "50 s periodic ckpt, p=%.2f" loss) o)
+      let o = Runner.run { Matrix.failover with Scenario.cops_loss = loss } in
+      Fmt.pr "p=%-8.2f %5d %5d %5d %6d %5d %7d %7d %6d %7s@." loss o.Runner.admitted
+        o.Runner.rerouted o.Runner.dropped o.Runner.flows_at_crash o.Runner.flows_lost
+        o.Runner.messages o.Runner.retransmissions o.Runner.unresolved
+        (if Runner.ok o then "exact" else "FAIL"))
     [ 0.; 0.01; 0.1 ];
   Fmt.pr
-    "@.per-decision checkpoints lose nothing across the crash; periodic ones lose@.";
+    "@.the journal loses nothing across the crash at any loss rate, and no@.";
   Fmt.pr
-    "only the admissions of the last window.  No request is ever stuck: the@.";
-  Fmt.pr "reliable channel retransmits every transaction to resolution.@."
+    "request is ever stuck: the reliable channel retransmits every transaction@.";
+  Fmt.pr "to resolution.@."
 
 (* ------------------------------------------------------------------ *)
 (* Durability: write-ahead journal replay throughput and the admission
@@ -904,14 +888,14 @@ let run_recovery () =
    offered load, with and without brownout degradation (extension; PR 4's
    overload control).  Writes BENCH_overload.json. *)
 
-module Ovw = Bbr_workload.Overload
 module Ov = Bbr_broker.Overload
 
 let run_overload_bench () =
   section "Overload: goodput, decision latency and shed rate vs offered load";
   let point ~overload ~brownout =
-    let o = Ovw.run { Ovw.default_config with Ovw.overload; brownout } in
-    let s = o.Ovw.pipeline in
+    let sc = Matrix.overload overload in
+    let o = Runner.run (if brownout then sc else Matrix.flat sc) in
+    let s = o.Runner.pipeline in
     let shed = Ov.shed_total s in
     let goodput =
       float_of_int s.Ov.decided /. float_of_int (max 1 s.Ov.submitted)
@@ -932,10 +916,9 @@ let run_overload_bench () =
             let o, s, shed, goodput = point ~overload ~brownout in
             Fmt.pr "%-9.1f %-9s %9d %9d %9d %9d %11d %9.2f %9.1f@." overload
               (if brownout then "brownout" else "flat")
-              o.Ovw.offered s.Ov.decided o.Ovw.admitted shed o.Ovw.busy
-              o.Ovw.p99_latency o.Ovw.brownout_time;
-            if o.Ovw.oracle_violations > 0 then
-              Fmt.pr "  ^ ORACLE VIOLATIONS: %d@." o.Ovw.oracle_violations;
+              o.Runner.offered s.Ov.decided o.Runner.admitted shed o.Runner.busy
+              o.Runner.p99_latency o.Runner.brownout_time;
+            if not (Runner.ok o) then Fmt.pr "  ^ FAILED: %a@." Runner.pp_outcome o;
             (overload, brownout, o, s, shed, goodput))
           [ false; true ])
       factors
@@ -953,17 +936,17 @@ let run_overload_bench () =
     (fun () ->
       Printf.fprintf oc "{\n  \"overload\": [\n";
       List.iteri
-        (fun i (overload, brownout, (o : Ovw.outcome), (s : Ov.stats), shed, goodput) ->
+        (fun i (overload, brownout, (o : Runner.outcome), (s : Ov.stats), shed, goodput) ->
           Printf.fprintf oc
             "    {\"overload\": %.1f, \"brownout\": %b, \"offered\": %d, \
              \"decided\": %d, \"admitted\": %d, \"shed\": %d, \"busy\": %d, \
              \"goodput\": %.4f, \"p50_latency_s\": %.4f, \"p99_latency_s\": \
              %.4f, \"degraded_s\": %.1f, \"conservative\": %d, \
              \"oracle_violations\": %d}%s\n"
-            overload brownout o.Ovw.offered s.Ov.decided o.Ovw.admitted shed
-            o.Ovw.busy goodput o.Ovw.p50_latency o.Ovw.p99_latency
-            o.Ovw.brownout_time s.Ov.conservative_decisions
-            o.Ovw.oracle_violations
+            overload brownout o.Runner.offered s.Ov.decided o.Runner.admitted shed
+            o.Runner.busy goodput o.Runner.p50_latency o.Runner.p99_latency
+            o.Runner.brownout_time s.Ov.conservative_decisions
+            s.Ov.oracle_violations
             (if i = List.length rows - 1 then "" else ","))
         rows;
       Printf.fprintf oc "  ]\n}\n");
@@ -1382,9 +1365,6 @@ let run_scenarios () =
     | Some s -> ( try Float.max 1. (float_of_string s) with _ -> 1.)
     | None -> 1.
   in
-  let module Matrix = Bbr_scenario.Matrix in
-  let module Runner = Bbr_scenario.Runner in
-  let module Sc = Bbr_scenario.Scenario in
   let outcomes = Matrix.run_all ~scale () in
   Fmt.pr "%-26s %6s %8s %8s %9s %9s %8s %s@." "scenario" "pass" "offered"
     "admitted" "p95(s)" "brownout" "genuine" "slo";
@@ -1394,7 +1374,7 @@ let run_scenarios () =
         List.length (List.filter (fun (m : Bbr_scenario.Slo.measurement) -> m.Bbr_scenario.Slo.met) o.Runner.measurements)
       in
       Fmt.pr "%-26s %6b %8d %8d %9.3f %9.1f %8d %d/%d@."
-        o.Runner.scenario.Sc.name (Runner.ok o) o.Runner.offered
+        o.Runner.scenario.Scenario.name (Runner.ok o) o.Runner.offered
         o.Runner.admitted o.Runner.p95_latency o.Runner.brownout_time
         (List.length o.Runner.genuine_anomalies)
         slo_met

@@ -60,6 +60,9 @@ module Exporter = Bbr_obs.Exporter
 module Trace_export = Bbr_obs.Trace_export
 module Critical_path = Bbr_obs.Critical_path
 module Flight = Bbr_obs.Flight
+module Sc = Bbr_scenario.Scenario
+module Matrix = Bbr_scenario.Matrix
+module Runner = Bbr_scenario.Runner
 
 (* --- shared arguments ---------------------------------------------- *)
 
@@ -870,27 +873,18 @@ let partition =
            silent mid-run and its delegated quota must return to the \
            shared pool within one lease period.")
 
-let overload_journal =
-  Arg.(
-    value & flag
-    & info [ "journal" ]
-        ~doc:
-          "Journal the run and verify that replaying the journal into a \
-           fresh broker reproduces the final MIB digest.")
-
 let overload_strict =
   Arg.(
     value & flag
     & info [ "strict" ]
         ~doc:
-          "Exit non-zero unless the soak held its invariants: zero oracle \
-           violations, zero unresolved transactions, non-zero sheds, a \
-           clean audit (and, with $(b,--journal), a digest-exact replay); \
-           with $(b,--partition): reclaim within one lease period, zero \
-           stale leases, a clean audit.")
+          "Exit non-zero unless the soak held its invariants: the scenario \
+           passed (zero oracle violations, zero unresolved transactions, \
+           a clean audit, a digest-exact recovery from the journal store) \
+           and shed work; with $(b,--partition): reclaim within one lease \
+           period, zero stale leases, a clean audit.")
 
-let run_overload setting seed overload flat partition journal strict out format trace
-    flight =
+let run_overload setting seed overload flat partition strict out format trace flight =
   let module Ovw = Bbr_workload.Overload in
   if partition then begin
     let o =
@@ -904,31 +898,33 @@ let run_overload setting seed overload flat partition journal strict out format 
     if strict && not ok then exit 1
   end
   else begin
-    let cfg =
-      { Ovw.default_config with Ovw.seed; setting; overload; brownout = not flat; journal }
+    let sc =
+      {
+        (Matrix.overload overload) with
+        Sc.seed;
+        topology = Sc.Fig8 { setting; detour = false };
+      }
     in
-    let o = with_obs ~out ~format ~trace ~flight (fun () -> Ovw.run cfg) in
-    Fmt.pr "%a@." Ovw.pp_outcome o;
-    let shed = Bbr_broker.Overload.shed_total o.Ovw.pipeline in
-    let ok =
-      o.Ovw.oracle_violations = 0 && o.Ovw.unresolved = 0 && shed > 0
-      && Audit.ok o.Ovw.audit
-      && (match o.Ovw.journal_digest_match with Some false -> false | _ -> true)
-    in
-    if strict && not ok then exit 1
+    let sc = if flat then Matrix.flat sc else sc in
+    let o = with_obs ~out ~format ~trace ~flight (fun () -> Runner.run sc) in
+    Fmt.pr "%a@." Runner.pp_outcome o;
+    let shed = Bbr_broker.Overload.shed_total o.Runner.pipeline in
+    if strict && not (Runner.ok o && shed > 0) then exit 1
   end
 
 let overload_cmd =
   let doc =
-    "Push a sustained overload through the bounded admission pipeline \
-     (deadline shedding, brownout degradation, Server-busy backpressure), \
-     shadowed by the exact admission oracle; or, with $(b,--partition), \
-     run the lease-reclaim soak."
+    "Run the Figure-8 overload scenario: the Figure-10 churn at a multiple \
+     of its base rate, through reliable COPS into the bounded admission \
+     pipeline (deadline shedding, brownout degradation, Server-busy \
+     backpressure), shadowed by the exact admission oracle, journaled \
+     and checked at the end by a digest-exact recovery from the journal \
+     store.  Or, with $(b,--partition), run the lease-reclaim soak."
   in
   Cmd.v (Cmd.info "overload" ~doc)
     Term.(
       const run_overload $ setting $ seed $ overload_factor $ flat $ partition
-      $ overload_journal $ overload_strict $ metrics_out $ metrics_format
+      $ overload_strict $ metrics_out $ metrics_format
       $ trace_out $ flight_out)
 
 (* --- federation ------------------------------------------------------- *)
@@ -1058,9 +1054,6 @@ let scenario_strict =
            met, clean final audit, no unresolved transactions.")
 
 let run_scenario list_ matrix names scale out_path strict out format trace flight =
-  let module Sc = Bbr_scenario.Scenario in
-  let module Matrix = Bbr_scenario.Matrix in
-  let module Runner = Bbr_scenario.Runner in
   if list_ then
     List.iter
       (fun s -> Fmt.pr "%-26s %s@." s.Sc.name s.Sc.descr)

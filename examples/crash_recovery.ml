@@ -1,60 +1,26 @@
 (* Crash-consistent recovery, end to end: the broker write-ahead journals
-   every state mutation, a fault-injection hook kills it at an exact
-   journal record boundary mid-churn, and the promoted standby replays
-   checkpoint + journal tail.  The proof of correctness is the canonical
-   MIB digest: with every record fsynced, the recovered broker must be
-   bit-for-bit decision-equivalent to the one that died — zero lost, zero
-   phantom reservations.  A second run with a lazy fsync shows the
-   honest counterpart: the unsynced tail is lost, torn record and all,
-   and the replay stops cleanly at the cut with a warning.
+   every state mutation to a simulated disk, fsyncing each record, and is
+   killed the instant journal record #150 is appended, mid-churn.  The
+   promoted standby restores the newest checkpoint and replays the journal
+   tail.  The proof of correctness is the canonical MIB digest: the
+   recovered broker must be bit-for-bit decision-equivalent to the one
+   that died — zero lost, zero phantom reservations — and at the end of
+   the run a standby rebuilt from the disk alone must match the live
+   broker too.
 
    Run: dune exec examples/crash_recovery.exe *)
 
-module Failure = Bbr_workload.Failure
-
-let scenario ~fsync_every =
-  {
-    Failure.default_config with
-    (* Kill the primary the instant journal record #150 is appended —
-       deliberately long after the last checkpoint (period 333 s), so
-       recovery has to combine the snapshot with a journal tail dozens of
-       records deep. *)
-    Failure.journal = true;
-    journal_fsync_every = fsync_every;
-    crash_at_record = Some 150;
-    checkpoint_every = Some 333.;
-    promote_after = 0.5;
-  }
+module Runner = Bbr_scenario.Runner
+module Matrix = Bbr_scenario.Matrix
 
 let () =
   Fmt.pr "=== Crash at a record boundary, fsync every record ===@.";
-  let o = Failure.run (scenario ~fsync_every:1) in
-  Fmt.pr "%a@.@." Failure.pp_outcome o;
-  assert (o.Failure.promote_error = None);
-  assert (o.Failure.unresolved = 0);
-  (* Every record reached the disk, so recovery is exact: the standby's
-     digest equals the dying primary's, and no flow was lost. *)
-  assert (o.Failure.journal_records_lost = 0);
-  assert (o.Failure.flows_lost = 0);
-  (match (o.Failure.digest_at_crash, o.Failure.digest_recovered) with
-  | Some oracle, Some recovered when oracle = recovered -> ()
-  | Some oracle, Some recovered ->
-      Fmt.epr "digest mismatch: %s at crash, %s recovered@." oracle recovered;
-      exit 1
-  | _ ->
-      Fmt.epr "digests missing from the outcome@.";
-      exit 1);
-  Fmt.pr "PASS: recovered broker is digest-identical to the crashed one@.@.";
-
-  Fmt.pr "=== Same crash, fsync every 64 records ===@.";
-  let o = Failure.run (scenario ~fsync_every:64) in
-  Fmt.pr "%a@.@." Failure.pp_outcome o;
-  assert (o.Failure.promote_error = None);
-  assert (o.Failure.unresolved = 0);
-  (* The journal is compacted at every checkpoint, so the fsync boundary
-     runs over the records since the last compaction: exactly the tail
-     past it is lost, never more. *)
-  assert (o.Failure.journal_records_lost = o.Failure.journal_records_at_crash mod 64);
-  assert (o.Failure.journal_records_lost > 0);
-  Fmt.pr "PASS: lazy fsync lost exactly the %d unsynced records@."
-    o.Failure.journal_records_lost
+  let o = Runner.run Matrix.crash_at_record in
+  Fmt.pr "%a@.@." Runner.pp_outcome o;
+  (* [Runner.ok] fails on any promotion that is not digest-exact. *)
+  if not (Runner.ok o && o.Runner.flows_at_crash > 0 && o.Runner.flows_lost = 0)
+  then begin
+    Fmt.epr "recovery was not exact@.";
+    exit 1
+  end;
+  Fmt.pr "PASS: recovered broker is digest-identical to the crashed one@."

@@ -1,42 +1,34 @@
 (* Fault-tolerant control plane, end to end: churn workload over a lossy
    reliable COPS channel, a link failure rerouted by the broker onto a
    protection detour, and a broker crash recovered by promoting a warm
-   standby from its last checkpoint.  Seeded, so every run prints the
-   same numbers. *)
+   standby from its journal.  Seeded, so every run prints the same
+   numbers.
 
-module Failure = Bbr_workload.Failure
+   The detour R3 -> R6 -> R4 runs parallel to the R3 -> R4 link and is one
+   hop longer, so routing ignores it until R3 -> R4 dies at 600 s — then
+   victims are re-admitted over it, keeping their flow ids.  The broker
+   crashes at 1500 s; every mutation was journaled and fsynced before its
+   decision left the broker, so the standby loses nothing. *)
 
-let scenario ~loss =
-  {
-    Failure.default_config with
-    loss;
-    (* A protection detour R3 -> R6 -> R4 parallel to the R3 -> R4 link.
-       It is one hop longer, so routing ignores it until R3 -> R4 dies —
-       then victims are re-admitted over it, keeping their flow ids. *)
-    extra_links = [ ("R3", "R6", Bbr_workload.Fig8.capacity); ("R6", "R4", Bbr_workload.Fig8.capacity) ];
-    link_down = [ (600., ("R3", "R4")) ];
-    link_up = [ (900., ("R3", "R4")) ];
-    (* The broker crashes at t = 1500 s.  Checkpointing is per-decision,
-       so the standby's snapshot is exactly the broker's state at the
-       crash: with a loss-free channel, no flow is lost. *)
-    crash_at = Some 1500.;
-    promote_after = 0.5;
-    checkpoint_every = None;
-    checkpoint_on_decision = true;
-  }
+module Scenario = Bbr_scenario.Scenario
+module Runner = Bbr_scenario.Runner
+module Matrix = Bbr_scenario.Matrix
+
+let run ~loss =
+  let o = Runner.run { Matrix.failover with Scenario.cops_loss = loss } in
+  Fmt.pr "%a@.@." Runner.pp_outcome o;
+  assert (Runner.ok o);
+  assert (o.Runner.rerouted > 0);
+  assert (o.Runner.flows_lost = 0);
+  o
 
 let () =
   Fmt.pr "=== Failover under a loss-free channel ===@.";
-  let o = Failure.run (scenario ~loss:0.) in
-  Fmt.pr "%a@.@." Failure.pp_outcome o;
-  assert (o.Failure.unresolved = 0);
-  assert (o.Failure.flows_lost = 0);
-  Fmt.pr "fresh snapshot + no loss: crash lost %d flows@.@." o.Failure.flows_lost;
-
+  let o = run ~loss:0. in
+  Fmt.pr "crash lost %d of %d flows@.@." o.Runner.flows_lost o.Runner.flows_at_crash;
   Fmt.pr "=== Same scenario, 10%% COPS message loss ===@.";
-  let o = Failure.run (scenario ~loss:0.1) in
-  Fmt.pr "%a@.@." Failure.pp_outcome o;
+  let o = run ~loss:0.1 in
   (* Reliability at work: despite the loss every transaction resolved. *)
-  assert (o.Failure.unresolved = 0);
+  assert (o.Runner.unresolved = 0);
   Fmt.pr "every request resolved despite loss: %d retransmissions covered it@."
-    o.Failure.retransmissions
+    o.Runner.retransmissions

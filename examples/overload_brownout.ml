@@ -5,28 +5,27 @@
    admission precision (the conservative O(1) bound) for throughput while
    the exact oracle confirms nothing unsafe was ever admitted. *)
 
+module Ov = Bbr_broker.Overload
+module Runner = Bbr_scenario.Runner
+module Matrix = Bbr_scenario.Matrix
 module Overload = Bbr_workload.Overload
 
 let () =
-  let base = Overload.default_config in
+  let base = Matrix.overload 10. in
   Fmt.pr "=== flat pipeline (no brownout), 10x offered load ===@.";
-  let flat = Overload.run { base with Overload.brownout = false } in
-  Fmt.pr "%a@.@." Overload.pp_outcome flat;
+  let flat = Runner.run (Matrix.flat base) in
+  Fmt.pr "%a@.@." Runner.pp_outcome flat;
   Fmt.pr "=== brownout pipeline, same workload ===@.";
-  let brown = Overload.run base in
-  Fmt.pr "%a@.@." Overload.pp_outcome brown;
+  let brown = Runner.run base in
+  Fmt.pr "%a@.@." Runner.pp_outcome brown;
   Fmt.pr "decided: flat %d vs brownout %d; p99 latency: %.3f s vs %.3f s@.@."
-    flat.Overload.pipeline.Bbr_broker.Overload.decided
-    brown.Overload.pipeline.Bbr_broker.Overload.decided flat.Overload.p99_latency
-    brown.Overload.p99_latency;
+    flat.Runner.pipeline.Ov.decided brown.Runner.pipeline.Ov.decided
+    flat.Runner.p99_latency brown.Runner.p99_latency;
   Fmt.pr "=== lease partition: edge broker silent at t=150 s ===@.";
   let part = Overload.run_partition Overload.default_partition_config in
   Fmt.pr "%a@." Overload.pp_partition_outcome part;
-  if
-    flat.Overload.oracle_violations = 0
-    && brown.Overload.oracle_violations = 0
-    && part.Overload.reclaimed_within_period
-  then Fmt.pr "@.all invariants held@."
+  if Runner.ok flat && Runner.ok brown && part.Overload.reclaimed_within_period then
+    Fmt.pr "@.all invariants held@."
   else begin
     Fmt.pr "@.INVARIANT VIOLATION@.";
     exit 1

@@ -484,20 +484,24 @@ let set_link_admin t ~link_id ~up =
   Topology.set_link_state t.topology ~link_id ~up;
   Option.iter Admission_cache.invalidate_all t.cache
 
+(* The per-flow reroute cascade, shared by the single broker and the
+   sharded router so both run it in the same order: victims sorted by flow
+   id, all torn down first (survivors then compete for the full remaining
+   capacity), then each re-admitted over the surviving topology under its
+   own id. *)
+let reroute ~teardown ~readmit victims =
+  let victims = List.sort (fun (a, _) (b, _) -> compare a b) victims in
+  List.iter (fun (flow, _) -> teardown flow) victims;
+  List.partition_map
+    (fun (flow, req) -> if readmit ~flow req then Either.Left flow else Either.Right flow)
+    victims
+
 let fail_link t ~link_id =
   set_link_admin t ~link_id ~up:false;
   let on_dead_link links =
     List.exists (fun (l : Topology.link) -> l.Topology.link_id = link_id) links
   in
-  (* Victims, released before any re-admission so survivors compete for the
-     full remaining capacity.  Per-flow records are captured first: teardown
-     removes them from the MIB. *)
-  let perflow_victims =
-    Flow_mib.fold t.flow_mib ~init:[] ~f:(fun acc r ->
-        if on_dead_link r.Flow_mib.path.Path_mib.links then r :: acc else acc)
-    |> List.sort (fun (a : Flow_mib.record) b -> compare a.Flow_mib.flow b.Flow_mib.flow)
-  in
-  List.iter (fun (r : Flow_mib.record) -> teardown t r.Flow_mib.flow) perflow_victims;
+  (* Macroflows riding the link are evacuated whole. *)
   let class_victims =
     List.filter_map
       (fun (s : Aggregate.macro_stats) ->
@@ -521,16 +525,16 @@ let fail_link t ~link_id =
         | _ -> None)
       (Aggregate.all_macroflows t.aggregate)
   in
-  (* Re-admission, flow-id order within each population: the flow keeps its
-     id across the reroute, so ingress routers and in-flight DRQs stay
-     valid; the edge is reconfigured through the usual hooks. *)
+  (* Per-flow victims keep their ids across the reroute, so ingress routers
+     and in-flight DRQs stay valid; the edge is reconfigured through the
+     usual hooks. *)
   let perflow_rerouted, perflow_dropped =
-    List.partition_map
-      (fun (r : Flow_mib.record) ->
-        match request_full t ~flow:r.Flow_mib.flow r.Flow_mib.request with
-        | Ok _ -> Either.Left r.Flow_mib.flow
-        | Error _ -> Either.Right r.Flow_mib.flow)
-      perflow_victims
+    reroute ~teardown:(teardown t)
+      ~readmit:(fun ~flow req -> Result.is_ok (request_full t ~flow req))
+      (Flow_mib.fold t.flow_mib ~init:[] ~f:(fun acc r ->
+           if on_dead_link r.Flow_mib.path.Path_mib.links then
+             (r.Flow_mib.flow, r.Flow_mib.request) :: acc
+           else acc))
   in
   let class_rerouted, class_dropped =
     List.concat_map

@@ -258,6 +258,16 @@ val fail_link : t -> link_id:int -> link_recovery
     calling it again for an already-down link finds no victims and is
     harmless. *)
 
+val reroute :
+  teardown:(Types.flow_id -> unit) ->
+  readmit:(flow:Types.flow_id -> Types.request -> bool) ->
+  (Types.flow_id * Types.request) list ->
+  Types.flow_id list * Types.flow_id list
+(** The per-flow reroute cascade of {!fail_link}, shared with the sharded
+    router so both brokers run it in the same order: sort the victims by
+    flow id, [teardown] every one of them, then [readmit] each in that
+    order under its own id.  Returns [(rerouted, dropped)], ascending. *)
+
 val restore_link : t -> link_id:int -> unit
 (** Mark a failed link up again.  Routing resumes using it for new
     selections; existing reservations are not rebalanced. *)

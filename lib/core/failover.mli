@@ -124,7 +124,9 @@ val recover_from :
     the empty state with loss reported) rather than fail.  Returns the
     recovered broker, the count of reservations restored from the
     checkpoint, and the degradation report.  Mutates nothing but the
-    store's quarantine renames; never raises. *)
+    store's quarantine renames and the link up/down state of the
+    topology [make] builds on (restored to the checkpoint's, then moved
+    forward by the replayed tail); never raises. *)
 
 val storage : t -> Storage.t option
 (** The segmented store given at {!create}, if any. *)

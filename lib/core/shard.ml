@@ -13,8 +13,6 @@ type churn_result = {
 
 type prepared = { p_link : int; p_residual : float; p_edf : Vtedf.t option }
 
-type victim = { v_flow : Types.flow_id; v_request : Types.request }
-
 type op =
   | Admit of { flow : Types.flow_id; request : Types.request }
   | Book_segment of {
@@ -39,7 +37,7 @@ type reply =
   | Done
   | Admitted of (Types.flow_id * Types.reservation, Types.reject_reason) result
   | Prepared of prepared list
-  | Victims_are of victim list
+  | Victims_are of (Types.flow_id * Types.request) list
   | Flows of (Types.flow_id * float * float * int list) list
   | Text of string
   | Flag of bool
@@ -127,7 +125,7 @@ let exec t op =
       Victims_are
         (Flow_mib.fold (Broker.flow_mib t.broker) ~init:[] ~f:(fun acc r ->
              if on_link r then
-               { v_flow = r.Flow_mib.flow; v_request = r.Flow_mib.request } :: acc
+               (r.Flow_mib.flow, r.Flow_mib.request) :: acc
              else acc))
   | Dump ->
       Flows

@@ -39,8 +39,6 @@ type prepared = {
       (** independent scheduler-state replica; [None] on rate-based links *)
 }
 
-type victim = { v_flow : Types.flow_id; v_request : Types.request }
-
 (** The shard command vocabulary.  Each op yields exactly one {!reply}. *)
 type op =
   | Admit of { flow : Types.flow_id; request : Types.request }
@@ -67,7 +65,7 @@ type reply =
   | Done
   | Admitted of (Types.flow_id * Types.reservation, Types.reject_reason) result
   | Prepared of prepared list
-  | Victims_are of victim list
+  | Victims_are of (Types.flow_id * Types.request) list
   | Flows of (Types.flow_id * float * float * int list) list
   | Text of string
   | Flag of bool

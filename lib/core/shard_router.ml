@@ -199,32 +199,25 @@ let set_link t ~link_id ~up =
     (fun s -> match Shard.recv s with Shard.Done -> () | _ -> assert false)
     t.shards
 
-(* Stop-the-world link-failure cascade, replicating the single broker's
-   [fail_link] order exactly: mark the link down everywhere, collect the
-   victims (only the owner shard holds bookings on the link, but a
-   multi-shard victim's other segments live elsewhere — teardown is
-   broadcast), tear all victims down in ascending flow-id order, then
-   re-admit each over the surviving topology in the same order under its
-   pinned id. *)
+(* Stop-the-world link-failure cascade: mark the link down everywhere,
+   collect the victims (only the owner shard holds bookings on the link,
+   but a multi-shard victim's other segments live elsewhere — teardown is
+   broadcast), then run the single broker's own {!Broker.reroute}. *)
 let fail_link t ~link_id =
   set_link t ~link_id ~up:false;
   let victims =
     match Shard.rpc t.shards.(t.owner.(link_id)) (Shard.Victims link_id) with
-    | Shard.Victims_are vs ->
-        List.sort
-          (fun (a : Shard.victim) b -> compare a.Shard.v_flow b.Shard.v_flow)
-          vs
+    | Shard.Victims_are vs -> vs
     | _ -> assert false
   in
-  List.iter (fun (v : Shard.victim) -> teardown t v.Shard.v_flow) victims;
   let rerouted, dropped =
-    List.partition_map
-      (fun (v : Shard.victim) ->
-        match admit_pinned t ~flow:v.Shard.v_flow v.Shard.v_request with
+    Broker.reroute ~teardown:(teardown t)
+      ~readmit:(fun ~flow req ->
+        match admit_pinned t ~flow req with
         | Ok (_, res) ->
-            t.on_edge_config ~flow:v.Shard.v_flow res;
-            Either.Left v.Shard.v_flow
-        | Error _ -> Either.Right v.Shard.v_flow)
+            t.on_edge_config ~flow res;
+            true
+        | Error _ -> false)
       victims
   in
   { link_id; rerouted; dropped }

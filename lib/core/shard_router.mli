@@ -67,11 +67,10 @@ type recovery = {
 }
 
 val fail_link : t -> link_id:int -> recovery
-(** Stop-the-world replica of {!Broker.fail_link} for per-flow service:
-    the link goes down on the router and every shard (each journals the
-    physical record), victims are collected from the owner shard, torn
-    down everywhere in ascending flow-id order, then re-admitted over the
-    surviving topology in the same order under their pinned ids. *)
+(** Stop-the-world {!Broker.fail_link} for per-flow service: the link
+    goes down on the router and every shard (each journals the physical
+    record), victims are collected from the owner shard, and
+    {!Broker.reroute} tears them down everywhere and re-admits them. *)
 
 val restore_link : t -> link_id:int -> unit
 

@@ -17,7 +17,7 @@ type anomaly = { at : float; kind : kind; detail : string; expected : bool }
 
 type t = {
   now : unit -> float;
-  windows : (float * float) list;
+  mutable windows : (float * float) list;
   mutable anomalies : anomaly list;  (* newest first *)
   mutable sampling : bool;
   mutable samples : int;
@@ -25,6 +25,8 @@ type t = {
 
 let create ~now ~windows () =
   { now; windows; anomalies = []; sampling = false; samples = 0 }
+
+let add_window t w = t.windows <- w :: t.windows
 
 let note t kind detail =
   let at = t.now () in

@@ -28,6 +28,10 @@ type t
 val create :
   now:(unit -> float) -> windows:(float * float) list -> unit -> t
 
+val add_window : t -> float * float -> unit
+(** Declare one more fault window — for a disturbance whose instant is
+    known only when it fires (a crash at a journal record boundary). *)
+
 val note : t -> kind -> string -> unit
 (** Record one violation observed now; fires {!Bbr_obs.Flight.trigger}
     if it lands outside every declared window. *)

@@ -63,8 +63,8 @@ val run_trace :
   outcome
 (** Replay an arbitrary arrival list (defaults: rate-only setting,
     cd 0.24).  [observe] runs once on the engine and broker before the
-    first arrival — the hook for registering telemetry gauges or a
-    sim-time sampler; the trace sim clock is bound to the engine for the
+    first arrival — the hook for registering telemetry gauges or
+    capturing the broker; the trace sim clock is bound to the engine for the
     run either way. *)
 
 val run : ?observe:(Bbr_netsim.Engine.t -> Bbr_broker.Broker.t -> unit) -> config -> scheme -> outcome

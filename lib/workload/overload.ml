@@ -1,248 +1,11 @@
 module Engine = Bbr_netsim.Engine
 module Broker = Bbr_broker.Broker
-module Cops = Bbr_broker.Cops
-module Ov = Bbr_broker.Overload
-module Admission = Bbr_broker.Admission
 module Audit = Bbr_broker.Audit
-module Journal = Bbr_broker.Journal
 module Edge_broker = Bbr_broker.Edge_broker
 module Flow_mib = Bbr_broker.Flow_mib
-module Policy = Bbr_broker.Policy
 module Types = Bbr_broker.Types
 module Traffic = Bbr_vtrs.Traffic
 module Prng = Bbr_util.Prng
-
-(* ------------------------------------------------------------------ *)
-(* Overload soak: the Figure-10 churn workload at a multiple of the
-   base arrival rate, pushed through COPS and the bounded admission
-   pipeline.  The exact O(M) test is consulted as a shadow oracle on
-   every decision, so a run proves (not just hopes) that degradation
-   never over-admits. *)
-
-type config = {
-  seed : int;
-  setting : Fig8.setting;
-  base_rate : float;  (** arrivals/s at 1x load *)
-  overload : float;  (** offered load as a multiple of [base_rate] *)
-  mean_holding : float;
-  duration : float;
-  horizon : float;
-  latency : float;
-  pipeline : Ov.config;
-  brownout : bool;  (** [false] = flat pipeline: degradation disabled *)
-  journal : bool;
-}
-
-let default_config =
-  {
-    seed = 1;
-    setting = `Mixed;
-    base_rate = 0.15;
-    overload = 10.;
-    mean_holding = 200.;
-    duration = 1500.;
-    horizon = 3000.;
-    latency = 0.005;
-    (* Service times sized so 10x the base arrival rate (~1.5 req/s)
-       saturates the exact O(M) path (capacity 1/2.5 = 0.4 req/s) but not
-       the conservative O(1) path (capacity 2 req/s): the flat pipeline
-       melts, the brownout pipeline degrades and keeps deciding. *)
-    pipeline =
-      {
-        Ov.default_config with
-        Ov.queue_limit = 32;
-        deadline = 10.;
-        service_exact = 2.5;
-        service_conservative = 0.5;
-        brownout_sustain = 5.;
-        retry_after = 10.;
-      };
-    brownout = true;
-    journal = false;
-  }
-
-type outcome = {
-  offered : int;
-  admitted : int;
-  rejected : int;  (** resource/policy rejections decided by the broker *)
-  busy : int;  (** requests that resolved [Server_busy] after all retries *)
-  completed : int;
-  pipeline : Ov.stats;
-  p50_latency : float;
-  p99_latency : float;
-  brownout_time : float;  (** sim seconds spent degraded *)
-  messages : int;
-  retransmissions : int;
-  busy_backoffs : int;
-  unresolved : int;
-  oracle_violations : int;
-  audit : Audit.report;
-  digest : string;
-  journal_digest_match : bool option;
-      (** replaying the journal into a fresh broker reproduces [digest];
-          [None] when the run was not journaled *)
-}
-
-let pp_outcome ppf o =
-  Fmt.pf ppf
-    "@[<v>offered %d  admitted %d  rejected %d  busy %d  completed %d@,\
-     pipeline: decided %d  shed %d (full %d, deadline %d, priority %d, shutdown %d)  max depth %d@,\
-     brownout: %d entries, %d exits, %.1f s degraded, %d conservative decisions@,\
-     latency: p50 %.3f s  p99 %.3f s@,\
-     signaling: %d messages, %d retransmissions, %d busy backoffs, %d unresolved@,\
-     oracle violations %d  audit %s%a@]"
-    o.offered o.admitted o.rejected o.busy o.completed o.pipeline.Ov.decided
-    (Ov.shed_total o.pipeline) o.pipeline.Ov.shed_queue_full
-    o.pipeline.Ov.shed_deadline o.pipeline.Ov.shed_priority
-    o.pipeline.Ov.shed_shutdown o.pipeline.Ov.max_depth
-    o.pipeline.Ov.brownout_entries o.pipeline.Ov.brownout_exits o.brownout_time
-    o.pipeline.Ov.conservative_decisions o.p50_latency o.p99_latency o.messages
-    o.retransmissions o.busy_backoffs o.unresolved o.oracle_violations
-    (if Audit.ok o.audit then "clean" else "VIOLATIONS")
-    (Fmt.option (fun ppf m ->
-         Fmt.pf ppf "@,journal replay digest %s" (if m then "MATCH" else "MISMATCH")))
-    o.journal_digest_match
-
-let exact_oracle broker (req : Types.request) =
-  match Broker.route_of broker req with
-  | None -> false
-  | Some path ->
-      let ps =
-        Admission.path_state (Broker.node_mib broker) (Broker.path_mib broker) path
-      in
-      Result.is_ok (Admission.admit ps req.Types.profile ~dreq:req.Types.dreq)
-
-let run config =
-  let engine = Engine.create () in
-  Option.iter
-    (fun tr -> Bbr_obs.Trace.set_sim_clock tr (fun () -> Engine.now engine))
-    (Bbr_obs.Trace.current ());
-  let topo = Fig8.topology config.setting in
-  let time =
-    {
-      Broker.now = (fun () -> Engine.now engine);
-      after = (fun delay f -> Engine.schedule_after engine ~delay f);
-    }
-  in
-  (* Policy priorities drive the watermark shedding: everything entering
-     at I1 is "premium", the rest best-importance-0.  The classification
-     is administrative, so it lives in the policy information base. *)
-  let policy = Policy.create () in
-  Policy.add_priority_rule policy ~name:"premium-ingress"
-    ~matches:(fun r -> r.Types.ingress = Fig8.ingress1)
-    ~priority:10;
-  let broker = Broker.create ~policy ~time topo in
-  let journal =
-    if config.journal then begin
-      let j = Journal.create ~fsync_every:1 () in
-      Journal.attach j broker;
-      Some j
-    end
-    else None
-  in
-  let pipeline_config =
-    if config.brownout then config.pipeline
-    else
-      (* A flat pipeline never degrades: the enter watermark is the full
-         queue and the sustain horizon is unreachable. *)
-      { config.pipeline with Ov.brownout_enter = 1.; brownout_sustain = infinity }
-  in
-  let ov =
-    Ov.create ~config:pipeline_config ~oracle:(exact_oracle broker) ~time broker
-  in
-  let prng = Prng.create ~seed:config.seed in
-  let jitter_rng = Prng.split prng in
-  let cops =
-    Cops.create broker ~latency:config.latency
-      ~reliability:
-        (Cops.reliability
-           ~loss:(fun () -> false)
-           ~jitter:(fun () -> Prng.float jitter_rng)
-           ())
-      ~pdp:(fun req k -> Ov.submit ov req k)
-      ~defer:(fun delay f -> Engine.schedule_after engine ~delay f)
-      ()
-  in
-  let arrivals =
-    Dynamic.arrivals
-      {
-        Dynamic.seed = config.seed;
-        setting = config.setting;
-        arrival_rate = config.base_rate *. config.overload;
-        mean_holding = config.mean_holding;
-        duration = config.duration;
-        cd = 0.24;
-      }
-  in
-  let admitted = ref 0 and rejected = ref 0 and busy = ref 0 in
-  let completed = ref 0 in
-  (* Integrate time spent degraded by sampling the controller at a fixed
-     cadence — cheap, deterministic, and good enough for a soak figure. *)
-  let brownout_time = ref 0. in
-  let sample_every = 0.5 in
-  let stopped = ref false in
-  let rec sample () =
-    if not !stopped then begin
-      if Ov.brownout ov then brownout_time := !brownout_time +. sample_every;
-      Engine.schedule_after engine ~delay:sample_every sample
-    end
-  in
-  sample ();
-  List.iter
-    (fun (e : Dynamic.entry) ->
-      Engine.schedule engine ~at:e.Dynamic.at (fun () ->
-          Cops.request cops
-            {
-              Types.profile = e.Dynamic.profile;
-              dreq = e.Dynamic.dreq;
-              ingress = e.Dynamic.ingress;
-              egress = e.Dynamic.egress;
-            }
-            ~on_decision:(function
-              | Ok (flow, _) ->
-                  incr admitted;
-                  Engine.schedule_after engine ~delay:e.Dynamic.holding (fun () ->
-                      Cops.teardown cops flow;
-                      incr completed)
-              | Error (Types.Server_busy _) -> incr busy
-              | Error _ -> incr rejected)))
-    arrivals;
-  Engine.run ~until:config.horizon engine;
-  (* Drain: stop the sampler and the pipeline (shedding whatever is
-     still queued, so every COPS transaction resolves), then let the
-     tail of timers run out. *)
-  stopped := true;
-  Ov.stop ov;
-  Engine.run engine;
-  let digest = Audit.mib_digest broker in
-  let journal_digest_match =
-    Option.map
-      (fun j ->
-        let fresh = Broker.create (Fig8.topology config.setting) in
-        match Journal.replay fresh (Journal.text j) with
-        | Ok _ -> Audit.mib_digest fresh = digest
-        | Error _ -> false)
-      journal
-  in
-  {
-    offered = List.length arrivals;
-    admitted = !admitted;
-    rejected = !rejected;
-    busy = !busy;
-    completed = !completed;
-    pipeline = Ov.stats ov;
-    p50_latency = Ov.latency_quantile ov ~q:0.5;
-    p99_latency = Ov.latency_quantile ov ~q:0.99;
-    brownout_time = !brownout_time;
-    messages = Cops.messages cops;
-    retransmissions = Cops.retransmissions cops;
-    busy_backoffs = Cops.busy_backoffs cops;
-    unresolved = Cops.pending cops;
-    oracle_violations = (Ov.stats ov).Ov.oracle_violations;
-    audit = Audit.check broker;
-    digest;
-    journal_digest_match;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Partition soak: leased quota delegation under an edge-broker

@@ -1,66 +1,13 @@
-(** Overload and partition soak scenarios for the admission pipeline.
+(** The lease-partition soak: two lease-holding edge brokers admit local
+    flows from delegated quota; one partitions mid-run, its lease expires,
+    and the central sweep must return the full delegation to the shared
+    pool within one lease period; on reconnect the edge reconciles
+    (re-registering still-live flows, surrendering the rest).  A pure
+    function of its seed.
 
-    Two end-to-end robustness experiments, both pure functions of their
-    seed:
-
-    - {!run} — the Figure-10 churn workload at a multiple of the base
-      arrival rate, pushed through reliable COPS (with jittered backoff)
-      into a bounded {!Bbr_broker.Overload} admission pipeline in front
-      of the broker.  The exact O(M) admission test shadows every
-      decision as an oracle: the outcome reports how often degraded
-      (brownout) admission admitted something the oracle would have
-      refused — which must be never.
-    - {!run_partition} — two lease-holding edge brokers admit local
-      flows from delegated quota; one partitions mid-run, its lease
-      expires, and the central sweep must return the full delegation to
-      the shared pool within one lease period; on reconnect the edge
-      reconciles (re-registering still-live flows, surrendering the
-      rest). *)
-
-type config = {
-  seed : int;
-  setting : Fig8.setting;
-  base_rate : float;  (** arrivals/s at 1x load *)
-  overload : float;  (** offered load as a multiple of [base_rate] *)
-  mean_holding : float;
-  duration : float;  (** arrivals offered during [0, duration) *)
-  horizon : float;
-  latency : float;  (** one-way PEP↔PDP delay *)
-  pipeline : Bbr_broker.Overload.config;
-  brownout : bool;  (** [false] = flat pipeline: degradation disabled *)
-  journal : bool;
-      (** journal the run and verify replay reproduces the digest *)
-}
-
-val default_config : config
-(** Seed 1, mixed Figure-8 setting, 10x the 0.15 arrivals/s base load,
-    1500 s of arrivals over a 3000 s horizon, brownout on. *)
-
-type outcome = {
-  offered : int;
-  admitted : int;
-  rejected : int;  (** resource/policy rejections decided by the broker *)
-  busy : int;  (** requests that resolved [Server_busy] after all retries *)
-  completed : int;
-  pipeline : Bbr_broker.Overload.stats;
-  p50_latency : float;
-  p99_latency : float;
-  brownout_time : float;  (** sim seconds spent degraded *)
-  messages : int;
-  retransmissions : int;
-  busy_backoffs : int;
-  unresolved : int;  (** COPS transactions never resolved — must be 0 *)
-  oracle_violations : int;  (** must be 0 *)
-  audit : Bbr_broker.Audit.report;
-  digest : string;  (** canonical MIB digest at the end of the run *)
-  journal_digest_match : bool option;
-      (** [Some true] iff journal replay into a fresh broker reproduces
-          [digest]; [None] when not journaled *)
-}
-
-val run : config -> outcome
-
-val pp_outcome : outcome Fmt.t
+    It stays outside the scenario runner, which has no edge-broker layer;
+    the overload soak through the admission pipeline is the
+    [Bbr_scenario.Matrix.overload] scenario. *)
 
 (** {1 Partition soak} *)
 

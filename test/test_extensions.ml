@@ -589,7 +589,7 @@ let test_snapshot_rejects_garbage () =
   (match Snapshot.restore standby "not a snapshot" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected header error");
-  match Snapshot.restore standby "bbr-snapshot v1\nflow oops" with
+  match Snapshot.restore standby "bbr-snapshot v2\nflow oops" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error"
 

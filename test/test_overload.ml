@@ -19,6 +19,9 @@ module Engine = Bbr_netsim.Engine
 module Fig8 = Bbr_workload.Fig8
 module Profiles = Bbr_workload.Profiles
 module Ovw = Bbr_workload.Overload
+module Scenario = Bbr_scenario.Scenario
+module Runner = Bbr_scenario.Runner
+module Matrix = Bbr_scenario.Matrix
 module Prng = Bbr_util.Prng
 
 let type0 = Profiles.profile 0
@@ -586,42 +589,36 @@ let test_return_idle_quota_idempotent () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end soaks (reduced horizons) *)
 
-let soak_config =
-  {
-    Ovw.default_config with
-    Ovw.duration = 500.;
-    horizon = 1_000.;
-    journal = true;
-  }
+let soak = { (Matrix.overload 10.) with Scenario.duration = 500.; horizon = 1_000. }
 
 let test_soak_brownout_invariants () =
-  let o = Ovw.run soak_config in
-  let s = o.Ovw.pipeline in
-  Alcotest.(check int) "no oracle violations" 0 o.Ovw.oracle_violations;
-  Alcotest.(check int) "no unresolved transactions" 0 o.Ovw.unresolved;
+  let o = Runner.run soak in
+  let s = o.Runner.pipeline in
+  Alcotest.(check int) "no oracle violations" 0 s.Overload.oracle_violations;
+  Alcotest.(check int) "no unresolved transactions" 0 o.Runner.unresolved;
   Alcotest.(check bool) "overload actually shed work" true (Overload.shed_total s > 0);
   Alcotest.(check bool) "brownout engaged" true (s.Overload.brownout_entries > 0);
-  Alcotest.(check bool) "audit clean" true (Audit.ok o.Ovw.audit);
-  Alcotest.(check (option bool)) "journal replay digest-exact" (Some true)
-    o.Ovw.journal_digest_match;
+  Alcotest.(check bool) "audit clean" true o.Runner.audit_ok;
+  Alcotest.(check bool) "journal replay digest-exact" true o.Runner.replay_digest_ok;
+  Alcotest.(check bool) "scenario passed" true (Runner.ok o);
   (* Bounded decision latency: nothing waits past the deadline and then
      gets served — so p99 <= deadline + one service time. *)
   let bound =
-    soak_config.Ovw.pipeline.Overload.deadline
-    +. soak_config.Ovw.pipeline.Overload.service_exact
+    soak.Scenario.pipeline.Overload.deadline
+    +. soak.Scenario.pipeline.Overload.service_exact
   in
   Alcotest.(check bool)
-    (Printf.sprintf "p99 %.3f bounded by %.3f" o.Ovw.p99_latency bound)
+    (Printf.sprintf "p99 %.3f bounded by %.3f" o.Runner.p99_latency bound)
     true
-    (o.Ovw.p99_latency <= bound +. 1e-9)
+    (o.Runner.p99_latency <= bound +. 1e-9)
 
 let test_soak_deterministic () =
-  let a = Ovw.run soak_config and b = Ovw.run soak_config in
-  Alcotest.(check string) "same digest" a.Ovw.digest b.Ovw.digest;
-  Alcotest.(check int) "same admissions" a.Ovw.admitted b.Ovw.admitted;
+  let a = Runner.run soak and b = Runner.run soak in
+  Alcotest.(check string) "same digest" a.Runner.digest b.Runner.digest;
+  Alcotest.(check int) "same admissions" a.Runner.admitted b.Runner.admitted;
   Alcotest.(check int) "same sheds"
-    (Overload.shed_total a.Ovw.pipeline)
-    (Overload.shed_total b.Ovw.pipeline)
+    (Overload.shed_total a.Runner.pipeline)
+    (Overload.shed_total b.Runner.pipeline)
 
 let test_soak_partition_reclaim () =
   let o = Ovw.run_partition Ovw.default_partition_config in

@@ -20,7 +20,9 @@ module Broker = Bbr_broker.Broker
 module Types = Bbr_broker.Types
 module Fig8 = Bbr_workload.Fig8
 module Profiles = Bbr_workload.Profiles
-module Overload = Bbr_workload.Overload
+module Scenario = Bbr_scenario.Scenario
+module Runner = Bbr_scenario.Runner
+module Matrix = Bbr_scenario.Matrix
 module Fed_soak = Bbr_workload.Fed_soak
 module Prng = Bbr_util.Prng
 
@@ -142,17 +144,17 @@ let requests_coherent seed =
 
 let overload_coherent seed =
   with_tracer ~capacity:(1 lsl 17) (fun t ->
-      let cfg =
+      let sc =
         {
-          Overload.default_config with
-          Overload.seed;
-          overload = 4. +. float_of_int (seed mod 17);
+          (Matrix.overload (4. +. float_of_int (seed mod 17))) with
+          Scenario.seed;
           duration = 40.;
           horizon = 200.;
-          brownout = seed mod 2 = 0;
         }
       in
-      let (_ : Overload.outcome) = Overload.run cfg in
+      let (_ : Runner.outcome) =
+        Runner.run (if seed mod 2 = 0 then sc else Matrix.flat sc)
+      in
       assert_coherent ~ctx:"overload" t)
 
 (* --- federation chaos soak ------------------------------------------- *)
